@@ -7,10 +7,9 @@
 //
 // Runs the suite with the preempt guard on and off and reports the delta,
 // plus a deliberately short-loop microworkload where the cost should peak.
-// A third configuration arms a far-future deadline, which adds the
-// interpreter's counter-gated monotonic clock poll at every interpreted
-// loop edge on top of the trace guard -- the full resource-governance
-// safe-point cost.
+// A third configuration arms a far-future deadline, which adds the engine's
+// deadline timer thread (armed and disarmed once per eval) on top of the
+// trace guard -- the full resource-governance cost.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,7 @@ void reportRow(const BenchProgram &P) {
   EngineOptions Off = tracingOptions();
   Off.EnablePreemptGuard = false;
   EngineOptions Deadline = tracingOptions();
-  // Far enough out that it never fires; we pay only the poll.
+  // Far enough out that it never fires; we pay only the timer.
   Deadline.EvalDeadlineMs = 24ull * 60 * 60 * 1000;
   RunResult A = runProgram(P, On, /*Runs=*/5);
   RunResult B = runProgram(P, Off, /*Runs=*/5);
@@ -47,7 +46,7 @@ void reportRow(const BenchProgram &P) {
 
 int main() {
   printf("=== §6.4: preemption-guard overhead (guard on / off / +deadline "
-         "poll) ===\n");
+         "timer) ===\n");
   printf("%-26s %12s %12s %12s %10s %10s\n", "benchmark", "guard-on(ms)",
          "guard-off(ms)", "deadline(ms)", "guard", "governed");
 
@@ -64,8 +63,7 @@ int main() {
   reportRow(Short);
 
   printf("\npaper shape check: overhead under ~1%% except for very short "
-         "loop bodies; the deadline poll should add little on top (it is\n"
-         "counter-gated to one clock read per %u interpreted loop edges).\n",
-         VMContext::DeadlinePollInterval);
+         "loop bodies; the deadline timer should add little on top (it\n"
+         "runs on its own thread and touches no loop edge).\n");
   return 0;
 }

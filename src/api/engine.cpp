@@ -6,7 +6,7 @@
 
 #include "frontend/parser.h"
 #include "interp/natives.h"
-#include "interp/tracehooks.h"
+#include "trace/monitor.h"
 #include "trace/oracle.h"
 
 namespace tracejit {
@@ -27,7 +27,7 @@ Engine::Engine(const EngineOptions &Opts) : Ctx(Opts) {
   }
   refreshListenerGate();
   if (Opts.EnableJit) {
-    Monitor = createTraceMonitor(Ctx, *Interp);
+    Monitor = std::make_unique<TraceMonitor>(Ctx, *Interp);
     Ctx.Monitor = Monitor.get();
   }
 }
@@ -117,21 +117,15 @@ EvalResult Engine::eval(std::string_view Source) {
     analyzeNewScripts(FirstScript);
 
   const bool Deadline = Ctx.Opts.EvalDeadlineMs > 0;
-  if (Deadline) {
-    auto At = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(Ctx.Opts.EvalDeadlineMs);
-    Ctx.DeadlineArmed = true;
-    Ctx.DeadlineAt = At;
-    Ctx.DeadlinePollCountdown = 0;
-    armDeadlineTimer(At);
-  }
+  if (Deadline)
+    armDeadlineTimer(std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(Ctx.Opts.EvalDeadlineMs));
   {
     ActivityScope T(Ctx.Stats, Activity::Interpret, Ctx.Opts.CollectStats);
     Interp->run(Top);
   }
   if (Deadline) {
     disarmDeadlineTimer();
-    Ctx.DeadlineArmed = false;
     // A raise that landed after the script finished must not leak into the
     // next request.
     Ctx.PreemptFlag.fetch_and(~InterruptDeadline, std::memory_order_acq_rel);
@@ -275,7 +269,7 @@ std::vector<FragmentProfile> Engine::fragmentProfiles() const {
 Tier Engine::tierOf(uint32_t ScriptId, uint16_t LoopId) const {
   if (!Monitor)
     return Tier::Interpreter; // JIT off: everything interprets
-  return (Tier)Monitor->tierOfLoop(ScriptId, LoopId);
+  return Monitor->tierOfLoop(ScriptId, LoopId);
 }
 
 bool Engine::exportTraceEvents(const std::string &Path) const {

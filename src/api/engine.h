@@ -31,7 +31,6 @@
 #include "api/options.h"
 #include "api/result.h"
 #include "interp/interpreter.h"
-#include "interp/tracehooks.h"
 #include "interp/vmcontext.h"
 #include "support/events.h"
 #include "trace/tier.h"
@@ -185,10 +184,11 @@ private:
   void analyzeNewScripts(size_t FirstScript);
 
   // Deadline timer thread (EvalDeadlineMs): spawned lazily on the first
-  // deadline-armed eval, it raises InterruptDeadline at expiry so traces
-  // that never reach the interpreter's clock poll still exit through their
-  // §6.4 guard. Joined in ~Engine before Ctx dies (Ctx is the first member,
-  // so it outlives the join regardless).
+  // deadline-armed eval, it raises InterruptDeadline at expiry (and every
+  // 5 ms after, while the eval runs). This is the engine's only deadline
+  // mechanism: interpreted loop edges service the bit at their safe point,
+  // and hot traces exit through their §6.4 guard. Joined in ~Engine before
+  // Ctx dies (Ctx is the first member, so it outlives the join regardless).
   void armDeadlineTimer(std::chrono::steady_clock::time_point At);
   void disarmDeadlineTimer();
   void deadlineTimerMain();
@@ -207,11 +207,6 @@ private:
   bool TimerArmed = false; ///< Guarded by TimerMu.
   bool TimerStop = false;  ///< Guarded by TimerMu; set once in ~Engine.
 };
-
-/// Factory defined by the trace engine; returns nullptr when \p Opts
-/// disables the JIT.
-std::unique_ptr<TraceMonitor> createTraceMonitor(VMContext &Ctx,
-                                                 Interpreter &I);
 
 } // namespace tracejit
 

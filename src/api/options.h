@@ -308,19 +308,15 @@ struct EngineOptions {
   /// reproduces the seed interpreter's lookup path bit-for-bit.
   bool EnableIC = TRACEJIT_IC_DEFAULT != 0;
 
-  /// Computed-goto threaded dispatch for the interpreter loop. Only
-  /// effective when the build detected compiler support (CMake defines
-  /// TRACEJIT_COMPUTED_GOTO); otherwise the switch loop runs regardless.
-  bool ThreadedDispatch = true;
-
   // --- Resource governance ----------------------------------------------------
 
   /// Wall-clock budget for one Engine::eval, in milliseconds; 0 = no
-  /// deadline. Enforced cooperatively: the interpreter polls a monotonic
-  /// clock every few loop edges and hot traces reach the same check through
-  /// their §6.4 preempt guard, so an expired deadline terminates the script
-  /// as ErrorKind::Timeout at the next safe point. The engine stays fully
-  /// reusable afterwards (heap, trace cache, and ICs intact).
+  /// deadline. Enforced cooperatively: the engine's timer thread raises an
+  /// interrupt bit at expiry, which interpreted loop edges service at their
+  /// safe point and hot traces reach through their §6.4 preempt guard, so
+  /// an expired deadline terminates the script as ErrorKind::Timeout at the
+  /// next safe point. The engine stays fully reusable afterwards (heap,
+  /// trace cache, and ICs intact).
   uint64_t EvalDeadlineMs = 0;
 
   /// Heap quota, in bytes; 0 = unlimited. When live allocation stays above

@@ -91,9 +91,12 @@ struct EngineError {
     if (!File.empty()) {
       Out += File;
       if (Line) {
-        Out += ":" + std::to_string(Line);
-        if (Col)
-          Out += ":" + std::to_string(Col);
+        Out += ':';
+        Out += std::to_string(Line);
+        if (Col) {
+          Out += ':';
+          Out += std::to_string(Col);
+        }
       }
       Out += ": ";
     } else if (Line) {

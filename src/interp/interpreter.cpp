@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "interp/natives.h"
-#include "interp/tracehooks.h"
+#include "trace/monitor.h"
 
 namespace tracejit {
 
@@ -255,7 +255,7 @@ Value Interpreter::callValue(Value Callee, Value ThisV, const Value *Args,
     Stack[Sp++] = Args[I];
   if (!pushFrameForCall(F, N))
     return Value::undefined();
-  Value R = dispatchUntil(SavedFrames);
+  Value R = dispatch(SavedFrames);
   Pc = SavedPc;
   return R;
 }
@@ -271,7 +271,7 @@ Value Interpreter::run(FunctionScript *Top) {
   Frames.push_back(F);
   Sp += Top->NumLocals;
   Pc = 0;
-  Value R = dispatchUntil(Frames.size() - 1);
+  Value R = dispatch(Frames.size() - 1);
   if (Ctx.Monitor)
     Ctx.Monitor->flushRecorder();
   // An error unwind pops frames without restoring Sp; reset it so the dead
@@ -281,8 +281,6 @@ Value Interpreter::run(FunctionScript *Top) {
     Sp = EntrySp;
   return R;
 }
-
-Value Interpreter::dispatch() { return dispatchUntil(Frames.size() - 1); }
 
 // --- Shared op bodies (multi-label cases in the seed switch) --------------------
 
@@ -522,18 +520,10 @@ void Interpreter::icInsert(PropertyIC &IC, const ICEntry &E,
   }
 }
 
-// --- Dispatch harnesses ---------------------------------------------------------
+// --- Dispatch loop ----------------------------------------------------------------
 
-Value Interpreter::dispatchUntil(size_t StopDepth) {
-#if defined(TRACEJIT_COMPUTED_GOTO)
-  if (Ctx.Opts.ThreadedDispatch)
-    return dispatchThreaded(StopDepth);
-#endif
-  return dispatchSwitch(StopDepth);
-}
-
-/// X-macro over every opcode, in Op enum order. Drives the threaded-dispatch
-/// label table; must stay in sync with enum Op (static_asserted below).
+/// X-macro over every opcode, in Op enum order. Drives the dispatch label
+/// table; must stay in sync with enum Op (static_asserted below).
 #define TJ_FOR_EACH_OP(X)                                                      \
   X(Nop) X(LoopHeader) X(Nop3) X(PushConst) X(PushUndefined) X(Pop)            \
   X(PopResult) X(Dup) X(Dup2) X(GetLocal) X(SetLocal) X(GetGlobal)             \
@@ -548,48 +538,7 @@ static_assert(0 TJ_FOR_EACH_OP(TJ_COUNT) == (int)Op::NumOps,
               "TJ_FOR_EACH_OP out of sync with enum Op");
 #undef TJ_COUNT
 
-Value Interpreter::dispatchSwitch(size_t StopDepth) {
-  VMContext &C = Ctx;
-  const bool Stats = C.Opts.CollectStats;
-  const bool IcOn = C.Opts.EnableIC;
-  Frame *F;
-  FunctionScript *Script;
-  Op O;
-
-  while (true) {
-    if (C.HasError) {
-      // Unwind everything this dispatch owns.
-      while (Frames.size() > StopDepth)
-        Frames.pop_back();
-      return Value::undefined();
-    }
-    F = &Frames.back();
-    Script = F->Script;
-    O = (Op)Script->Code[Pc];
-
-    if (C.Monitor && C.Monitor->recording() && O != Op::LoopHeader) {
-      C.Monitor->recordOp(*this, Pc);
-      if (Stats)
-        ++C.Stats.BytecodesRecorded;
-    } else if (Stats) {
-      ++C.Stats.BytecodesInterpreted;
-    }
-
-    switch (O) {
-#define TJ_OP(name) case Op::name: {
-#define TJ_NEXT() } break;
-#include "interp/dispatch.inc"
-#undef TJ_OP
-#undef TJ_NEXT
-    case Op::NumOps:
-      rtError("corrupt bytecode");
-      break;
-    }
-  }
-}
-
-#if defined(TRACEJIT_COMPUTED_GOTO)
-Value Interpreter::dispatchThreaded(size_t StopDepth) {
+Value Interpreter::dispatch(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
   const bool IcOn = C.Opts.EnableIC;
@@ -598,8 +547,8 @@ Value Interpreter::dispatchThreaded(size_t StopDepth) {
   Op O;
 
   // One label per opcode, indexed by the opcode byte. A single shared
-  // prologue (error unwind + recording hook) keeps the op bodies identical
-  // to the switch harness; each body jumps back to TjDispatch.
+  // prologue (error unwind + recording hook) runs before every body; each
+  // body jumps back to TjDispatch.
   static const void *const Table[] = {
 #define TJ_LABEL(name) &&L_##name,
       TJ_FOR_EACH_OP(TJ_LABEL)
@@ -608,6 +557,7 @@ Value Interpreter::dispatchThreaded(size_t StopDepth) {
 
 TjDispatch:
   if (C.HasError) {
+    // Unwind everything this dispatch owns.
     while (Frames.size() > StopDepth)
       Frames.pop_back();
     return Value::undefined();
@@ -638,6 +588,5 @@ L_Corrupt:
   rtError("corrupt bytecode");
   goto TjDispatch;
 }
-#endif // TRACEJIT_COMPUTED_GOTO
 
 } // namespace tracejit

@@ -79,18 +79,10 @@ private:
   friend class TraceRecorder;
   friend struct MethodOps; ///< Method-tier helper bodies (trace/helpers.cpp).
 
-  /// The dispatch loop. Executes until the entry frame returns or an error
-  /// is raised.
-  Value dispatch();
-  /// Dispatch until the frame stack shrinks back to \p StopDepth. Picks the
-  /// threaded (computed-goto) harness when the build supports it and
-  /// EngineOptions::ThreadedDispatch is set; both harnesses stamp out the
-  /// same op bodies from interp/dispatch.inc.
-  Value dispatchUntil(size_t StopDepth);
-  Value dispatchSwitch(size_t StopDepth);
-#if defined(TRACEJIT_COMPUTED_GOTO)
-  Value dispatchThreaded(size_t StopDepth);
-#endif
+  /// The dispatch loop: a computed-goto label table over the op bodies in
+  /// interp/dispatch.inc. Runs until the frame stack shrinks back to
+  /// \p StopDepth or an error is raised.
+  Value dispatch(size_t StopDepth);
 
   // Op bodies the seed interpreter shared between several case labels,
   // factored out so each opcode keeps its own dispatch label (dispatch.inc).
@@ -98,7 +90,7 @@ private:
   void execCompare(Op O);
   void execEquality(bool Negate);
   void execStrictEquality(bool Negate);
-  /// Pop the returning frame; true means dispatchUntil should return \p R.
+  /// Pop the returning frame; true means dispatch should return \p R.
   bool popReturnFrame(size_t StopDepth, Value R);
 
   // Property inline caches (vm/ic.h). icGetProp/icSetProp are the probe

@@ -110,7 +110,8 @@ struct VMContext {
     return It->second.get();
   }
 
-  /// Created lazily when the JIT is enabled. Owned by the Engine.
+  /// The trace monitor (trace/monitor.h); null when the JIT is disabled.
+  /// Owned by the Engine.
   TraceMonitor *Monitor = nullptr;
 
   /// The installed JIT event listener (null = observability off). Every
@@ -180,31 +181,6 @@ struct VMContext {
   ErrorKind ErrorCode = ErrorKind::Runtime; ///< Kind of the pending error.
   uint32_t ErrorLine = 0;                   ///< 1-based; 0 when unknown.
   uint32_t ErrorCol = 0;
-
-  // --- Deadline governor state (owning thread only) ---------------------------
-
-  /// Armed by Engine::eval when EvalDeadlineMs is set. The interpreter
-  /// polls the monotonic clock every DeadlinePollInterval loop edges (hot
-  /// traces don't poll -- the Engine's timer thread or the server watchdog
-  /// raises InterruptDeadline, and the §6.4 guard drives the trace out).
-  bool DeadlineArmed = false;
-  std::chrono::steady_clock::time_point DeadlineAt{};
-  uint32_t DeadlinePollCountdown = 0;
-  static constexpr uint32_t DeadlinePollInterval = 64;
-
-  /// Cheap loop-edge deadline check: one decrement most edges, one clock
-  /// read every DeadlinePollInterval-th.
-  void pollDeadline() {
-    if (!DeadlineArmed)
-      return;
-    if (DeadlinePollCountdown > 0) {
-      --DeadlinePollCountdown;
-      return;
-    }
-    DeadlinePollCountdown = DeadlinePollInterval;
-    if (std::chrono::steady_clock::now() >= DeadlineAt)
-      requestInterrupt(InterruptDeadline);
-  }
 
   /// Where `print` output goes; tests capture it, examples print to stdout.
   std::function<void(const std::string &)> PrintHook;

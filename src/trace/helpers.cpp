@@ -385,7 +385,7 @@ struct MethodOps {
       size_t SavedFrames = I.Frames.size();
       if (!I.pushFrameForCall(FnObj, ArgC))
         return MethodErrorSentinel;
-      R = I.dispatchUntil(SavedFrames);
+      R = I.dispatch(SavedFrames);
       I.Pc = Pc;
     }
     return finishNestedCall(I, Tar, R);
@@ -410,7 +410,7 @@ struct MethodOps {
           size_t SavedFrames = I.Frames.size();
           if (!I.pushFrameForCall(FnObj, ArgC))
             return MethodErrorSentinel;
-          R = I.dispatchUntil(SavedFrames);
+          R = I.dispatch(SavedFrames);
           I.Pc = Pc;
         }
         Done = true;

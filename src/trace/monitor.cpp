@@ -15,7 +15,7 @@
 
 namespace tracejit {
 
-TraceMonitorImpl::TraceMonitorImpl(VMContext &C, Interpreter &I)
+TraceMonitor::TraceMonitor(VMContext &C, Interpreter &I)
     : Ctx(C), Interp(I), Policy(C.Opts) {
   if (Ctx.Opts.JitBackend == Backend::Native) {
     // Off-thread compilation needs the dual-mapped pool so the worker can
@@ -53,7 +53,7 @@ TraceMonitorImpl::TraceMonitorImpl(VMContext &C, Interpreter &I)
   });
 }
 
-TraceMonitorImpl::~TraceMonitorImpl() {
+TraceMonitor::~TraceMonitor() {
   // The client must die before the fragments and the backend a worker
   // compile could still be touching: its destructor pulls queued jobs and
   // waits out an in-flight one. Then the private service (if any) joins
@@ -64,11 +64,11 @@ TraceMonitorImpl::~TraceMonitorImpl() {
   OwnService.reset();
 }
 
-VMStats &TraceMonitorImpl::stats() { return Ctx.Stats; }
+VMStats &TraceMonitor::stats() { return Ctx.Stats; }
 
-void TraceMonitorImpl::emitEvent(const JitEvent &E) { Ctx.emitEvent(E); }
+void TraceMonitor::emitEvent(const JitEvent &E) { Ctx.emitEvent(E); }
 
-void TraceMonitorImpl::collectFragmentProfiles(
+void TraceMonitor::collectFragmentProfiles(
     std::vector<FragmentProfile> &Out) const {
   Out.reserve(Out.size() + Fragments.size());
   for (const auto &F : Fragments) {
@@ -103,7 +103,7 @@ void TraceMonitorImpl::collectFragmentProfiles(
   }
 }
 
-Fragment *TraceMonitorImpl::newFragment(FragmentKind K) {
+Fragment *TraceMonitor::newFragment(FragmentKind K) {
   auto F = std::make_unique<Fragment>();
   F->Id = NextFragmentId++;
   F->Generation = CacheGeneration;
@@ -117,7 +117,7 @@ Fragment *TraceMonitorImpl::newFragment(FragmentKind K) {
   return P;
 }
 
-const CallInfo *TraceMonitorImpl::mathCallInfo(NativeFn Boxed) {
+const CallInfo *TraceMonitor::mathCallInfo(NativeFn Boxed) {
   auto It = MathCIs.find(Boxed);
   if (It != MathCIs.end())
     return It->second.get();
@@ -134,7 +134,7 @@ const CallInfo *TraceMonitorImpl::mathCallInfo(NativeFn Boxed) {
   return P;
 }
 
-LoopState *TraceMonitorImpl::loopState(FunctionScript *S, uint16_t LoopId) {
+LoopState *TraceMonitor::loopState(FunctionScript *S, uint16_t LoopId) {
   LoopRecord &L = S->Loops[LoopId];
   if (!L.State) {
     auto LS = std::make_unique<LoopState>();
@@ -149,7 +149,7 @@ LoopState *TraceMonitorImpl::loopState(FunctionScript *S, uint16_t LoopId) {
   return L.State;
 }
 
-uint64_t TraceMonitorImpl::oracleKeyForSlot(
+uint64_t TraceMonitor::oracleKeyForSlot(
     uint32_t Slot, const std::vector<FrameEntry> &Frames) {
   uint32_t NG = Ctx.Globals.size();
   if (Slot < NG)
@@ -164,7 +164,7 @@ uint64_t TraceMonitorImpl::oracleKeyForSlot(
 
 // --- Entry type maps and TAR transfer -----------------------------------------------
 
-TypeMap TraceMonitorImpl::buildEntryTypeMap(uint32_t Sp) {
+TypeMap TraceMonitor::buildEntryTypeMap(uint32_t Sp) {
   TypeMap M;
   M.NumGlobals = Ctx.Globals.size();
   M.Types.resize(M.NumGlobals + Sp);
@@ -243,8 +243,7 @@ static Value boxFromTar(VMContext &Ctx, uint64_t W, TraceType T) {
   return Value::undefined();
 }
 
-void TraceMonitorImpl::fillTar(const TypeMap &Types, uint32_t Sp,
-                               uint64_t *Tar) {
+void TraceMonitor::fillTar(const TypeMap &Types, uint32_t Sp, uint64_t *Tar) {
   uint32_t NG = Types.NumGlobals;
   for (uint32_t G = 0; G < NG; ++G)
     Tar[G] = unboxForTar(Ctx.Globals.Values[G], Types.Types[G]);
@@ -253,8 +252,7 @@ void TraceMonitorImpl::fillTar(const TypeMap &Types, uint32_t Sp,
     Tar[NG + I] = unboxForTar(Stack[I], Types.Types[NG + I]);
 }
 
-void TraceMonitorImpl::restoreFromExit(ExitDescriptor *E,
-                                       const uint64_t *Tar) {
+void TraceMonitor::restoreFromExit(ExitDescriptor *E, const uint64_t *Tar) {
   uint32_t NG = E->Types.NumGlobals;
 
   // "It pops or synthesizes interpreter JavaScript call stack frames as
@@ -280,7 +278,7 @@ void TraceMonitorImpl::restoreFromExit(ExitDescriptor *E,
     Stack[I] = boxFromTar(Ctx, Tar[NG + I], E->Types.Types[NG + I]);
 }
 
-ExitDescriptor *TraceMonitorImpl::executeFragment(Fragment *Frag) {
+ExitDescriptor *TraceMonitor::executeFragment(Fragment *Frag) {
   bool Stats = Ctx.Opts.CollectStats;
   // Size the TAR generously: any fragment reachable from Frag (branches,
   // peers, nested trees) fits below the monitor-wide maximum.
@@ -377,10 +375,9 @@ ExitDescriptor *TraceMonitorImpl::executeFragment(Fragment *Frag) {
 
 // --- Recording lifecycle -----------------------------------------------------------------
 
-void TraceMonitorImpl::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
-                                      FunctionScript *Script,
-                                      uint32_t AnchorPc,
-                                      ExitDescriptor *AnchorExit) {
+void TraceMonitor::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
+                                  FunctionScript *Script, uint32_t AnchorPc,
+                                  ExitDescriptor *AnchorExit) {
   assert(!Recorder);
   Fragment *F = newFragment(Mode == TraceRecorder::Mode::Root
                                 ? FragmentKind::Root
@@ -416,8 +413,7 @@ void TraceMonitorImpl::startRecording(TraceRecorder::Mode Mode, LoopState *LS,
   (void)Script;
 }
 
-void TraceMonitorImpl::abortRecording(AbortReason Why,
-                                      bool CountsTowardBlacklist) {
+void TraceMonitor::abortRecording(AbortReason Why, bool CountsTowardBlacklist) {
   if (!Recorder)
     return;
   ++Ctx.Stats.TracesAborted;
@@ -468,15 +464,15 @@ void TraceMonitorImpl::abortRecording(AbortReason Why,
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitorImpl::applyTierAction(LoopState *LS, TierAction A,
-                                       TierChangeReason Why) {
+void TraceMonitor::applyTierAction(LoopState *LS, TierAction A,
+                                   TierChangeReason Why) {
   if (A == TierAction::Promote)
     promoteToMethod(LS, Why);
   else if (A == TierAction::Demote)
     demoteToInterpreter(LS, Why);
 }
 
-void TraceMonitorImpl::promoteToMethod(LoopState *LS, TierChangeReason Why) {
+void TraceMonitor::promoteToMethod(LoopState *LS, TierChangeReason Why) {
   if (LS->Tier.Current != Tier::Trace)
     return;
   LS->Tier.Current = Tier::Method;
@@ -495,8 +491,7 @@ void TraceMonitorImpl::promoteToMethod(LoopState *LS, TierChangeReason Why) {
   // keep seeing this loop to compile and enter the method body.
 }
 
-void TraceMonitorImpl::demoteToInterpreter(LoopState *LS,
-                                           TierChangeReason Why) {
+void TraceMonitor::demoteToInterpreter(LoopState *LS, TierChangeReason Why) {
   if (LS->Tier.Current == Tier::Interpreter)
     return;
   LS->Tier.Current = Tier::Interpreter;
@@ -517,7 +512,7 @@ void TraceMonitorImpl::demoteToInterpreter(LoopState *LS,
   LS->Script->Code[LS->Loop->HeaderPc] = (uint8_t)Op::Nop3;
 }
 
-void TraceMonitorImpl::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
+void TraceMonitor::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
   auto FramesEqual = [&](const ExitDescriptor *E) {
     if (E->Frames.size() != NewPeer->EntryFrames.size())
       return false;
@@ -548,7 +543,7 @@ void TraceMonitorImpl::linkUnstableExits(LoopState *LS, Fragment *NewPeer) {
   }
 }
 
-void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
+void TraceMonitor::finishRecording(const std::vector<Fragment *> &Peers) {
   assert(Recorder);
   LoopState *LS = RecorderLoopState;
   bool Stats = Ctx.Opts.CollectStats;
@@ -697,8 +692,8 @@ void TraceMonitorImpl::finishRecording(const std::vector<Fragment *> &Peers) {
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitorImpl::installCompiledFragment(Fragment *F, LoopState *LS,
-                                               ExitDescriptor *Anchor) {
+void TraceMonitor::installCompiledFragment(Fragment *F, LoopState *LS,
+                                           ExitDescriptor *Anchor) {
   ++Ctx.Stats.TracesCompleted;
   if (Ctx.EventListener) {
     JitEvent E;
@@ -747,7 +742,7 @@ void TraceMonitorImpl::installCompiledFragment(Fragment *F, LoopState *LS,
 
 // --- Method tier (trace/tier.h, jit/method_builder.h) ------------------------
 
-void TraceMonitorImpl::requestMethodCompile(LoopState *LS) {
+void TraceMonitor::requestMethodCompile(LoopState *LS) {
   bool Stats = Ctx.Opts.CollectStats;
   if (Stats)
     Ctx.Stats.switchTo(Activity::Compile);
@@ -843,7 +838,7 @@ void TraceMonitorImpl::requestMethodCompile(LoopState *LS) {
     Ctx.Stats.switchTo(Activity::Interpret);
 }
 
-void TraceMonitorImpl::installMethodFragment(LoopState *LS, Fragment *F) {
+void TraceMonitor::installMethodFragment(LoopState *LS, Fragment *F) {
   LS->MethodFrag = F;
   ++Ctx.Stats.MethodCompiles;
   if (Ctx.EventListener) {
@@ -860,7 +855,7 @@ void TraceMonitorImpl::installMethodFragment(LoopState *LS, Fragment *F) {
 
 // --- Off-thread compile publication ------------------------------------------
 
-void TraceMonitorImpl::drainCompileJobs() {
+void TraceMonitor::drainCompileJobs() {
   if (!Queue || !Queue->hasCompleted())
     return;
   // Safe-point discipline: publication mutates LoopStates, patches code,
@@ -874,7 +869,7 @@ void TraceMonitorImpl::drainCompileJobs() {
     publishJob(J);
 }
 
-void TraceMonitorImpl::publishJob(CompileJob &J) {
+void TraceMonitor::publishJob(CompileJob &J) {
   // Stale job: its generation was flushed (the fragment is already freed)
   // or the engine gave up on jitting. Drop it using only the copied ids --
   // Frag/LS/AnchorExit must not be dereferenced on this path (LS itself
@@ -951,21 +946,21 @@ void TraceMonitorImpl::publishJob(CompileJob &J) {
     installCompiledFragment(F, LS, J.IsRoot ? nullptr : J.AnchorExit);
 }
 
-void TraceMonitorImpl::waitCompileQueueIdle() {
+void TraceMonitor::waitCompileQueueIdle() {
   if (!Queue)
     return;
   Queue->waitIdle();
   drainCompileJobs();
 }
 
-void TraceMonitorImpl::flushRecorder() {
+void TraceMonitor::flushRecorder() {
   if (Recorder)
     abortRecording(AbortReason::DispatchUnwound, false);
 }
 
 // --- Code-cache lifecycle ----------------------------------------------------
 
-AbortReason TraceMonitorImpl::compileAbortReason(CompileResult R) {
+AbortReason TraceMonitor::compileAbortReason(CompileResult R) {
   switch (R) {
   case CompileResult::PoolExhausted:
     return AbortReason::CompilePoolExhausted;
@@ -981,15 +976,15 @@ AbortReason TraceMonitorImpl::compileAbortReason(CompileResult R) {
   return AbortReason::CompileFault;
 }
 
-size_t TraceMonitorImpl::codeCacheUsed() const {
+size_t TraceMonitor::codeCacheUsed() const {
   return Native ? Native->pool().used() : 0;
 }
 
-size_t TraceMonitorImpl::codeCacheCapacity() const {
+size_t TraceMonitor::codeCacheCapacity() const {
   return Native ? Native->pool().capacity() : 0;
 }
 
-void TraceMonitorImpl::requestCacheFlush() {
+void TraceMonitor::requestCacheFlush() {
   if (Disabled)
     return;
   if (Ctx.OnTrace || Recorder) {
@@ -1002,7 +997,7 @@ void TraceMonitorImpl::requestCacheFlush() {
   flushCacheNow();
 }
 
-void TraceMonitorImpl::flushCacheNow() {
+void TraceMonitor::flushCacheNow() {
   assert(!Recorder && !Ctx.OnTrace && "cache flush at an unsafe point");
   FlushPending = false;
 
@@ -1084,7 +1079,7 @@ void TraceMonitorImpl::flushCacheNow() {
     disableJit();
 }
 
-void TraceMonitorImpl::disableJit() {
+void TraceMonitor::disableJit() {
   if (Disabled)
     return;
   Disabled = true;
@@ -1098,7 +1093,7 @@ void TraceMonitorImpl::disableJit() {
   }
 }
 
-void TraceMonitorImpl::syncStats() {
+void TraceMonitor::syncStats() {
   // Figure 11: bytecodes "executed" natively = iterations through each
   // fragment times the bytecodes one pass covers.
   uint64_t Native64 = 0;
@@ -1109,7 +1104,7 @@ void TraceMonitorImpl::syncStats() {
 
 // --- Hooks -------------------------------------------------------------------------------------
 
-void TraceMonitorImpl::recordOp(Interpreter &I, uint32_t Pc) {
+void TraceMonitor::recordOp(Interpreter &I, uint32_t Pc) {
   if (!Recorder)
     return;
   Recorder->recordOp(Pc);
@@ -1122,8 +1117,7 @@ void TraceMonitorImpl::recordOp(Interpreter &I, uint32_t Pc) {
   }
 }
 
-uint32_t TraceMonitorImpl::handleInnerLoopHeader(uint32_t Pc,
-                                                 uint16_t LoopId) {
+uint32_t TraceMonitor::handleInnerLoopHeader(uint32_t Pc, uint16_t LoopId) {
   FunctionScript *S = Interp.currentFrame().Script;
   LoopState *InnerLS = loopState(S, LoopId);
 
@@ -1193,7 +1187,7 @@ uint32_t TraceMonitorImpl::handleInnerLoopHeader(uint32_t Pc,
   return E->Pc;
 }
 
-void TraceMonitorImpl::handleExit(ExitDescriptor *E) {
+void TraceMonitor::handleExit(ExitDescriptor *E) {
   if (E->Kind == ExitKind::Preempt) {
     // Re-entrant case (an outer method-tier fragment is suspended on the
     // native stack under a helper call): servicing now could flush or
@@ -1245,22 +1239,21 @@ void TraceMonitorImpl::handleExit(ExitDescriptor *E) {
                  E);
 }
 
-LoopState *TraceMonitorImpl::loopStateOfRoot(Fragment *Root) {
+LoopState *TraceMonitor::loopStateOfRoot(Fragment *Root) {
   return Root->Loop ? Root->Loop->State : nullptr;
 }
 
-uint8_t TraceMonitorImpl::tierOfLoop(uint32_t ScriptId,
-                                     uint16_t LoopId) const {
+Tier TraceMonitor::tierOfLoop(uint32_t ScriptId, uint16_t LoopId) const {
   for (const auto &LS : LoopStates)
     if (LS->Script && LS->Script->Id == ScriptId &&
         LoopId < LS->Script->Loops.size() &&
         LS->Loop == &LS->Script->Loops[LoopId])
-      return (uint8_t)LS->Tier.Current;
-  return (uint8_t)Policy.initialTier();
+      return LS->Tier.Current;
+  return Policy.initialTier();
 }
 
-uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
-                                      uint16_t LoopId) {
+uint32_t TraceMonitor::onLoopEdge(Interpreter &I, uint32_t Pc,
+                                  uint16_t LoopId) {
   if (Disabled)
     return Pc + 3; // kill switch: interpreter-only, one branch of overhead
   bool Stats = Ctx.Opts.CollectStats;
@@ -1422,13 +1415,6 @@ uint32_t TraceMonitorImpl::onLoopEdge(Interpreter &I, uint32_t Pc,
   RecorderAnchorExit = nullptr;
   startRecording(TraceRecorder::Mode::Root, LS, S, Pc, nullptr);
   return NextPc;
-}
-
-// --- Factory -------------------------------------------------------------------------------------
-
-std::unique_ptr<TraceMonitor> createTraceMonitor(VMContext &Ctx,
-                                                 Interpreter &I) {
-  return std::make_unique<TraceMonitorImpl>(Ctx, I);
 }
 
 } // namespace tracejit

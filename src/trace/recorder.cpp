@@ -4,6 +4,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "interp/natives.h"
 #include "trace/helpers.h"
@@ -13,9 +15,9 @@
 
 namespace tracejit {
 
-TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I,
-                             TraceMonitorImpl &M, Fragment *Frag, Mode Md,
-                             LoopRecord *L, ExitDescriptor *AExit)
+TraceRecorder::TraceRecorder(VMContext &C, Interpreter &I, TraceMonitor &M,
+                             Fragment *Frag, Mode Md, LoopRecord *L,
+                             ExitDescriptor *AExit)
     : Ctx(C), Interp(I), Monitor(M), F(Frag), RecMode(Md), Loop(L),
       AnchorExit(AExit) {
   // Mirror the live interpreter state.
@@ -110,6 +112,16 @@ bool TraceRecorder::atAnchor(uint32_t Pc) const {
 
 // --- Slot tracking -------------------------------------------------------------------
 
+/// TraceType::Boxed is the method tier's slot type (trace/typemap.h); a
+/// recorded trace never carries one. Reaching it here is a recorder bug,
+/// so fail loudly instead of handing the pipeline a null LIR operand.
+[[noreturn]] static void boxedTypeInRecorder(const char *Where) {
+  assert(false && "TraceType::Boxed reached the trace recorder");
+  fprintf(stderr, "tracejit: TraceType::Boxed reached TraceRecorder::%s\n",
+          Where);
+  std::abort();
+}
+
 TraceType TraceRecorder::fallbackTypeOf(uint32_t Slot) {
   assert(Slot < FallbackTypes.size() && "read of a never-written slot");
   return FallbackTypes[Slot];
@@ -129,8 +141,10 @@ LIns *TraceRecorder::ldSlot(TraceType T, uint32_t Slot) {
   case TraceType::Null:
   case TraceType::Undefined:
     return nullptr;
+  case TraceType::Boxed:
+    break;
   }
-  return nullptr;
+  boxedTypeInRecorder("ldSlot");
 }
 
 void TraceRecorder::stSlot(uint32_t Slot, LIns *V, TraceType T) {
@@ -150,7 +164,10 @@ void TraceRecorder::stSlot(uint32_t Slot, LIns *V, TraceType T) {
   case TraceType::Null:
   case TraceType::Undefined:
     return; // the type carries the whole value
+  case TraceType::Boxed:
+    break;
   }
+  boxedTypeInRecorder("stSlot");
 }
 
 TraceRecorder::Tracked TraceRecorder::readSlot(uint32_t Slot) {
@@ -248,8 +265,10 @@ LIns *TraceRecorder::unboxGuarded(LIns *Word, TraceType Expect, uint32_t Pc) {
         LOp::GuardT,
         W->ins2(LOp::EqQ, Word, immQ((int64_t)Value::undefined().bits())), E);
     return nullptr;
+  case TraceType::Boxed:
+    break;
   }
-  return nullptr;
+  boxedTypeInRecorder("unboxGuarded");
 }
 
 LIns *TraceRecorder::boxValue(LIns *V, TraceType T) {
@@ -275,8 +294,10 @@ LIns *TraceRecorder::boxValue(LIns *V, TraceType T) {
     return immQ((int64_t)Value::null().bits());
   case TraceType::Undefined:
     return immQ((int64_t)Value::undefined().bits());
+  case TraceType::Boxed:
+    break;
   }
-  return nullptr;
+  boxedTypeInRecorder("boxValue");
 }
 
 LIns *TraceRecorder::promoteToD(const Tracked &V) {
@@ -311,8 +332,10 @@ LIns *TraceRecorder::truthyIns(const Tracked &V) {
   case TraceType::Null:
   case TraceType::Undefined:
     return immI(0);
+  case TraceType::Boxed:
+    break;
   }
-  return immI(0);
+  boxedTypeInRecorder("truthyIns");
 }
 
 void TraceRecorder::guardShape(LIns *Obj, Shape *S, uint32_t Pc) {

@@ -1,12 +1,13 @@
 //===- test_governance.cpp - Resource governance & interruption ----------------===//
 //
 // Covers the cooperative-interruption machinery: the interrupt bitmask and
-// its safe points, script deadlines (in-thread clock poll and the engine
-// timer thread reaching hot traces through the §6.4 guard), heap quotas
-// terminating as OutOfMemory with a fully reusable engine, structured
-// stack-overflow errors with source positions, fault-injected allocation
-// failure, and the serving watchdog: per-request deadlines, hostile-traffic
-// chaos across four workers, and the engine-recycle policy.
+// its safe points, script deadlines (the engine timer thread's interrupt,
+// serviced at interpreted loop edges and reaching hot traces through the
+// §6.4 guard), heap quotas terminating as OutOfMemory with a fully
+// reusable engine, structured stack-overflow errors with source positions,
+// fault-injected allocation failure, and the serving watchdog: per-request
+// deadlines, hostile-traffic chaos across four workers, and the
+// engine-recycle policy.
 //
 // The Watchdog suite runs under ThreadSanitizer in CI (see ci.yml).
 //
@@ -216,7 +217,7 @@ TEST(Governance, DeadlineTerminatesHotLoopOnTrace) {
 
 TEST(Governance, DeadlineAlsoCoversTheInterpreter) {
   EngineOptions O;
-  O.EnableJit = false; // only the in-thread clock poll can catch it
+  O.EnableJit = false; // no trace guard: the loop edge safe point must catch it
   O.EvalDeadlineMs = 60;
   Engine E(O);
   auto R = E.eval(InfiniteLoop);

@@ -1,10 +1,10 @@
-//===- test_ic.cpp - Property inline caches + threaded dispatch -----------------===//
+//===- test_ic.cpp - Property inline caches -------------------------------===//
 //
 // Covers the IC ladder (mono -> poly -> mega), both invalidation paths
 // (shape-transition self-invalidation and the whole-table reset on a
 // code-cache flush), bit-for-bit equivalence with ICs off, the recorder's
 // consumption of IC state (mono replay, poly multi-shape guards, mega
-// aborts), and switch-vs-threaded dispatch equivalence.
+// aborts).
 //
 //===----------------------------------------------------------------------===//
 
@@ -276,46 +276,4 @@ TEST(InlineCaches, RecorderAbortsAtMegamorphicSite) {
   EXPECT_GE(R.Stats.AbortsByReason[(size_t)AbortReason::MegamorphicSite], 1u)
       << "recording through a megamorphic site must abort, not compile an "
          "always-exiting guard ladder";
-}
-
-TEST(ThreadedDispatch, SwitchAndThreadedAgree) {
-  // Whatever harness the build selected, the runtime toggle must not
-  // change observable behavior. (In builds without computed-goto support
-  // both runs use the switch loop and this degenerates to determinism.)
-  const char *Corpus[] = {
-      "var s = 0; for (var i = 0; i < 1000; ++i) s += i; print(s);",
-      "var o = {}; o.a = 1; var t = 0;\n"
-      "for (var i = 0; i < 500; ++i) { t = t + o.a; o.a = t % 7; }\n"
-      "print(t);",
-      "function f(n) { if (n < 2) return n; return f(n - 1) + f(n - 2); }\n"
-      "print(f(15));",
-      "var a = Array(64); for (var i = 0; i < 64; ++i) a[i] = i * i;\n"
-      "var s = 0; for (var j = 0; j < 64; ++j) s = s + a[j];\n"
-      "print(s); print(a.length);",
-  };
-  for (const char *Src : Corpus) {
-    for (bool Jit : {false, true}) {
-      EngineOptions T;
-      T.EnableJit = Jit;
-      T.ThreadedDispatch = true;
-      EngineOptions S = T;
-      S.ThreadedDispatch = false;
-      RunInfo A = runWith(Src, T);
-      RunInfo B = runWith(Src, S);
-      ASSERT_TRUE(A.Ok) << A.Error;
-      ASSERT_TRUE(B.Ok) << B.Error;
-      EXPECT_EQ(A.Out, B.Out) << Src;
-    }
-  }
-  // Runtime errors unwind identically through both harnesses.
-  EngineOptions T;
-  T.EnableJit = false;
-  T.ThreadedDispatch = true;
-  EngineOptions S = T;
-  S.ThreadedDispatch = false;
-  RunInfo A = runWith("var u; u.x;", T);
-  RunInfo B = runWith("var u; u.x;", S);
-  EXPECT_FALSE(A.Ok);
-  EXPECT_FALSE(B.Ok);
-  EXPECT_EQ(A.Error, B.Error);
 }

@@ -247,6 +247,18 @@ TEST(Interp, Errors) {
     EXPECT_FALSE(R.ok());
   }
   {
+    // A runtime error unwinds to the same report with the JIT on.
+    EngineOptions JitOpts = Opts;
+    JitOpts.EnableJit = true;
+    Engine I(Opts), J(JitOpts);
+    auto RI = I.eval("var u; u.x;");
+    auto RJ = J.eval("var u; u.x;");
+    EXPECT_FALSE(RI.ok());
+    EXPECT_FALSE(RJ.ok());
+    EXPECT_EQ(RI.Err.Kind, ErrorKind::Runtime);
+    EXPECT_EQ(RI.Err.describe(), RJ.Err.describe());
+  }
+  {
     // Engine survives an error and can evaluate again.
     Engine E(Opts);
     EXPECT_FALSE(E.eval("var x = 1; x();").ok());

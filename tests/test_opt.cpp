@@ -540,6 +540,19 @@ const char *Corpus[] = {
     "var s = 0;\n"
     "for (var i = 0; i < 1500; ++i) s += f(i);\n"
     "print(s);",
+    // Plain counting loop.
+    "var s = 0; for (var i = 0; i < 1000; ++i) s += i; print(s);",
+    // Property load and store feeding each other through the loop.
+    "var o = {}; o.a = 1; var t = 0;\n"
+    "for (var i = 0; i < 500; ++i) { t = t + o.a; o.a = t % 7; }\n"
+    "print(t);",
+    // Recursion with no loop at all.
+    "function f(n) { if (n < 2) return n; return f(n - 1) + f(n - 2); }\n"
+    "print(f(15));",
+    // Array fill then sum, plus the array's length.
+    "var a = Array(64); for (var i = 0; i < 64; ++i) a[i] = i * i;\n"
+    "var s = 0; for (var j = 0; j < 64; ++j) s = s + a[j];\n"
+    "print(s); print(a.length);",
 };
 
 } // namespace
