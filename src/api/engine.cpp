@@ -104,17 +104,29 @@ EvalResult Engine::eval(std::string_view Source) {
   if (Monitor)
     Monitor->onEvalStart(); // fresh per-eval cache-flush budget
 
-  EngineError ParseErr;
-  size_t FirstScript = Ctx.Scripts.size();
-  FunctionScript *Top = compileSource(Ctx, Source, &ParseErr);
-  if (!Top) {
-    R.Err = std::move(ParseErr);
-    return R;
+  FunctionScript *Top;
+  auto Cached = ScriptCache.find(Source);
+  if (Cached != ScriptCache.end()) {
+    // Re-running bytecode is re-parsing it: global slots and atoms were
+    // interned idempotently, and the script's static facts hold across
+    // any interleaving with other scripts (analysis.cpp).
+    Top = Cached->second;
+    ++Ctx.Stats.ScriptCacheHits;
+  } else {
+    ++Ctx.Stats.ScriptCacheMisses;
+    EngineError ParseErr;
+    size_t FirstScript = Ctx.Scripts.size();
+    Top = compileSource(Ctx, Source, &ParseErr);
+    if (!Top) {
+      R.Err = std::move(ParseErr);
+      return R;
+    }
+    // Static facts must exist before execution: with HotLoopThreshold=2
+    // the first recording can start within this very eval.
+    if (Ctx.Opts.StaticAnalysis)
+      analyzeNewScripts(FirstScript);
+    ScriptCache.emplace(Source, Top);
   }
-  // Static facts must exist before execution: with HotLoopThreshold=2 the
-  // first recording can start within this very eval.
-  if (Ctx.Opts.StaticAnalysis)
-    analyzeNewScripts(FirstScript);
 
   const bool Deadline = Ctx.Opts.EvalDeadlineMs > 0;
   if (Deadline)

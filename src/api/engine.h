@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "api/options.h"
@@ -48,6 +49,11 @@ public:
   /// the result (with line/column where known); the engine stays usable
   /// afterwards. On success, EvalResult::LastValue is the value of the
   /// program's last top-level expression statement.
+  ///
+  /// Sources are cached by their exact text: evaluating a source this
+  /// engine has already compiled re-runs the same script, with the loop
+  /// state, trace trees, oracle facts and inline caches its earlier runs
+  /// left behind (DESIGN.md "Script cache"). Parse errors are not cached.
   EvalResult eval(std::string_view Source);
 
   /// Same, but errors carry \p FileName so EngineError::describe() renders
@@ -193,7 +199,21 @@ private:
   void disarmDeadlineTimer();
   void deadlineTimerMain();
 
+  /// Hashes std::string and std::string_view alike, so a cache lookup by
+  /// the caller's string_view allocates nothing.
+  struct SourceHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+
   VMContext Ctx;
+  /// Script cache: exact source text -> its top-level script, which
+  /// Ctx.Scripts owns. Only successful parses are inserted.
+  std::unordered_map<std::string, FunctionScript *, SourceHash,
+                     std::equal_to<>>
+      ScriptCache;
   std::unique_ptr<Interpreter> Interp;
   std::unique_ptr<TraceMonitor> Monitor;
   JitEventMux Mux;

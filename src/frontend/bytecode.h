@@ -35,6 +35,7 @@ namespace tracejit {
 
 class String;
 struct LoopState; // Owned by the trace monitor (hot counters, trees, ...).
+struct FunctionScript;
 
 enum class Op : uint8_t {
   Nop,
@@ -145,6 +146,13 @@ struct LineNote {
   uint32_t Col = 0;  ///< 1-based.
 };
 
+/// One hoisted function declaration of a top-level script: the global slot
+/// its name binds and the function's script.
+struct FunctionDecl {
+  uint16_t GlobalSlot = 0;
+  FunctionScript *Fn = nullptr;
+};
+
 /// A compiled function (or the top-level script).
 struct FunctionScript {
   uint32_t Id = 0;
@@ -162,6 +170,11 @@ struct FunctionScript {
   std::vector<PropertyIC> ICs;
   /// Sparse source positions, ascending by Pc (see LineNote).
   std::vector<LineNote> LineNotes;
+  /// Top-level script only: its function declarations, in source order.
+  /// Interpreter::run binds each to a fresh function object every time the
+  /// script starts, so a re-run (Engine's script cache) re-binds them just
+  /// as a re-parse would.
+  std::vector<FunctionDecl> FunctionDecls;
 
   Op opAt(uint32_t Pc) const { return (Op)Code[Pc]; }
   uint16_t u16At(uint32_t Pc) const {

@@ -768,10 +768,9 @@ void Parser::functionDeclaration() {
   LoopStack = std::move(SavedLoops);
   StackDepth = SavedDepth;
 
-  // Bind the function object now (function declarations are hoisted).
-  Object *FnObj = Object::createFunction(Ctx.TheHeap, Ctx.Shapes, Fn);
-  uint16_t Slot = globalSlot(Name);
-  Ctx.Globals.Values[Slot] = Value::makeObject(FnObj);
+  // Function declarations are hoisted: Interpreter::run binds them before
+  // the script's first bytecode.
+  Script->FunctionDecls.push_back({globalSlot(Name), Fn});
 }
 
 void Parser::ifStatement() {

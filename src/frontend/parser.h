@@ -28,8 +28,9 @@ public:
   Parser(VMContext &Ctx, std::string_view Source);
 
   /// Compile a whole program. Function declarations are compiled to their
-  /// own scripts and bound to globals; the returned script is the top-level
-  /// code. Returns nullptr on error.
+  /// own scripts and listed in the top-level script's FunctionDecls, which
+  /// Interpreter::run binds to globals; the returned script is the
+  /// top-level code. Returns nullptr on error.
   FunctionScript *parseProgram();
 
   bool hadError() const { return HadError; }

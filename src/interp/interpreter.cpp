@@ -263,6 +263,11 @@ Value Interpreter::callValue(Value Callee, Value ThisV, const Value *Args,
 // --- Dispatch -------------------------------------------------------------------
 
 Value Interpreter::run(FunctionScript *Top) {
+  // Hoisting: bind every function declaration before the first bytecode,
+  // to a new function object on each run.
+  for (const FunctionDecl &D : Top->FunctionDecls)
+    Ctx.Globals.Values[D.GlobalSlot] = Value::makeObject(
+        Object::createFunction(Ctx.TheHeap, Ctx.Shapes, D.Fn));
   uint32_t EntrySp = Sp;
   Frame F;
   F.Script = Top;

@@ -162,6 +162,9 @@ struct LIns {
   LTy Ty = LTy::Void;
   uint32_t Id = 0;   ///< Dense numbering for printing / side tables.
   int32_t Disp = 0;  ///< Loads/stores: byte offset.
+  /// Loads: the location never changes once its object exists (a function
+  /// object's script), so no store clobbers it.
+  bool Immutable = false;
   LIns *A = nullptr; ///< First operand.
   LIns *B = nullptr; ///< Second operand.
 

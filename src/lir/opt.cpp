@@ -494,10 +494,10 @@ IndVarResult runIndVar(Fragment &F, std::vector<LIns *> &Body) {
 //    hoisted instruction uses them, to preserve define-before-use).
 //  * A pure op / pure call is invariant iff all operands are.
 //  * A load is invariant iff its base is, its location class is never
-//    stored in the whole trace, it is not an absolute (ImmQ-based) load,
-//    and no unhoisted guard precedes it -- a load must not move above a
-//    guard that stays in the loop, because that guard may be what proves
-//    the access safe.
+//    stored in the whole trace (or the load is Immutable), it is not an
+//    absolute (ImmQ-based) load, and no unhoisted guard precedes it -- a
+//    load must not move above a guard that stays in the loop, because
+//    that guard may be what proves the access safe.
 //  * A guard (or overflow op) hoists iff its condition/operands do; its
 //    exit is rewired to Fragment::EntryExit, the Deopt snapshot of the
 //    entry state. Moving a guard earlier only strengthens it, and failing
@@ -609,7 +609,7 @@ HoistResult runHoist(Fragment &F) {
         else if (I->A->Op == LOp::ImmQ)
           Ok = false; // absolute loads are VM channels; never invariant
         else
-          Ok = !HeapStored;
+          Ok = I->Immutable || !HeapStored;
       }
       if (Ok) {
         Avail.insert(I);

@@ -117,6 +117,12 @@ std::string VMStats::report() const {
              (unsigned long long)StackOverflows);
     Out += Buf;
   }
+  if (ScriptCacheHits || ScriptCacheMisses) {
+    snprintf(Buf, sizeof(Buf), "script cache: hits=%llu misses=%llu\n",
+             (unsigned long long)ScriptCacheHits,
+             (unsigned long long)ScriptCacheMisses);
+    Out += Buf;
+  }
   if (AnalysisRuns || StaticGuardsElided || StaticDemotionsSeeded ||
       StaticMegaSeeded || StaticFactChecks) {
     snprintf(Buf, sizeof(Buf),

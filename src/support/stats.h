@@ -117,6 +117,10 @@ struct VMStats {
   uint64_t HeapQuotaHits = 0;  ///< Scripts terminated as OutOfMemory.
   uint64_t StackOverflows = 0; ///< Frame/stack limit hits.
 
+  // --- Script cache (api/engine.h) -------------------------------------------
+  uint64_t ScriptCacheHits = 0;   ///< Evals that re-ran a cached script.
+  uint64_t ScriptCacheMisses = 0; ///< Evals that parsed their source.
+
   // --- Static analysis counters (analysis/analysis.h) -------------------------
   uint64_t AnalysisRuns = 0;         ///< Scripts analyzed.
   uint64_t AnalysisFacts = 0;        ///< Published facts, summed over scripts.
@@ -214,6 +218,8 @@ struct VMStats {
     HostInterrupts += O.HostInterrupts;
     HeapQuotaHits += O.HeapQuotaHits;
     StackOverflows += O.StackOverflows;
+    ScriptCacheHits += O.ScriptCacheHits;
+    ScriptCacheMisses += O.ScriptCacheMisses;
     AnalysisRuns += O.AnalysisRuns;
     AnalysisFacts += O.AnalysisFacts;
     AnalysisDiagnostics += O.AnalysisDiagnostics;

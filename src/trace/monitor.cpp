@@ -1039,6 +1039,8 @@ void TraceMonitor::flushCacheNow() {
     }
   }
   Ctx.Stats.FragmentsRetired += Fragments.size();
+  for (auto &F : Fragments)
+    RetiredBytecodesNative += F->Iterations * F->BytecodesCovered;
 
   // Sever every path back into the retired code, then free it. LoopStates
   // survive (scripts point at them) but re-enter monitoring cold.
@@ -1095,8 +1097,9 @@ void TraceMonitor::disableJit() {
 
 void TraceMonitor::syncStats() {
   // Figure 11: bytecodes "executed" natively = iterations through each
-  // fragment times the bytecodes one pass covers.
-  uint64_t Native64 = 0;
+  // fragment times the bytecodes one pass covers, counting the fragments
+  // earlier flushes retired.
+  uint64_t Native64 = RetiredBytecodesNative;
   for (auto &F : Fragments)
     Native64 += F->Iterations * F->BytecodesCovered;
   Ctx.Stats.BytecodesNative = Native64;
@@ -1302,6 +1305,20 @@ uint32_t TraceMonitor::onLoopEdge(Interpreter &I, uint32_t Pc,
   }
 
   LoopState *LS = loopState(S, LoopId);
+
+  // A script re-run from the engine's script cache can meet a global table
+  // that later scripts have grown (it never shrinks). Code compiled against
+  // a smaller table cannot run again: a tree's entry map no longer matches,
+  // and a method body's TAR layout and call helpers assume the old table.
+  // Unlist both, so stale trees hold no peer slots and the method body
+  // recompiles below; Fragments keeps owning them (stale fragments may
+  // still link to each other) until the next flush.
+  const uint32_t NG = Ctx.Globals.size();
+  std::erase_if(LS->Peers, [NG](Fragment *P) {
+    return P->EntryTypes.NumGlobals != NG;
+  });
+  if (LS->MethodFrag && LS->MethodFrag->EntryTypes.NumGlobals != NG)
+    LS->MethodFrag = nullptr;
 
   // --- Execute a matching compiled tree -------------------------------------------
   // Trace tier only: a promoted loop abandons its trees -- they are the

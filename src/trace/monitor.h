@@ -178,6 +178,7 @@ public:
   const std::vector<std::unique_ptr<Fragment>> &fragments() const {
     return Fragments;
   }
+  size_t loopStateCount() const { return LoopStates.size(); }
   LoopState *loopState(FunctionScript *S, uint16_t LoopId);
 
 private:
@@ -302,6 +303,9 @@ private:
   uint32_t FlushesThisEval = 0;  ///< Reset by onEvalStart(); kill-switch fuel.
   bool FlushPending = false;     ///< A flush was requested at an unsafe point.
   bool Disabled = false;         ///< Kill switch: interpreter-only from here.
+  /// Native bytecodes (Iterations * BytecodesCovered) of the fragments
+  /// flushes retired; syncStats adds the live fragments' share.
+  uint64_t RetiredBytecodesNative = 0;
 };
 
 } // namespace tracejit

@@ -1041,15 +1041,9 @@ void TraceRecorder::recordCall(uint32_t Pc) {
   }
   Object *FO = CalleeV.toObject();
 
-  // Guard callee identity: one pointer compare covers both the type and
-  // the target ("the recorder must also emit LIR to guard that the
-  // function is the same", §3.1).
-  ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-  W->insGuard(LOp::GuardT,
-              W->ins2(LOp::EqQ, Callee.Ins,
-                      immQ((int64_t)CalleeV.bits())),
-              E);
-  F->EmbeddedRoots.push_back(CalleeV);
+  // "The recorder must also emit LIR to guard that the function is the
+  // same" (§3.1).
+  guardCallee(Callee.Ins, /*IsObject=*/true, CalleeV, Pc);
 
   if (FO->native()) {
     if (!recordTraceableNative(FO, ArgC, Pc))
@@ -1057,6 +1051,31 @@ void TraceRecorder::recordCall(uint32_t Pc) {
     return;
   }
   recordScriptedCall(FO, ArgC, Pc + 2, Pc);
+}
+
+void TraceRecorder::guardCallee(LIns *Word, bool IsObject, Value CalleeV,
+                                uint32_t Pc) {
+  Object *FO = CalleeV.toObject();
+  if (FO->native()) {
+    // Natives exist once per engine: one compare of the boxed word covers
+    // the type and the target.
+    ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
+    W->insGuard(LOp::GuardT,
+                W->ins2(LOp::EqQ, Word, immQ((int64_t)CalleeV.bits())), E);
+    F->EmbeddedRoots.push_back(CalleeV);
+    return;
+  }
+  // A scripted call inlines the callee's code, and function objects carry
+  // no other state that code reads (no closures), so guard the script, not
+  // the object: every run of a cached top-level script binds its
+  // declarations to new function objects. Other objects' Script is null.
+  LIns *Obj = IsObject ? Word : unboxGuarded(Word, TraceType::Object, Pc);
+  ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
+  LIns *S = W->insLoad(LOp::LdQ, Obj, Object::scriptOffset());
+  S->Immutable = true; // so the guard hoists as an identity guard would
+  W->insGuard(LOp::GuardT,
+              W->ins2(LOp::EqQ, S, immQ((int64_t)(intptr_t)FO->script())),
+              E);
 }
 
 void TraceRecorder::recordCallProp(uint32_t Pc) {
@@ -1139,10 +1158,7 @@ void TraceRecorder::recordCallProp(uint32_t Pc) {
     guardShape(Recv.Ins, RO->shape(), Pc);
     LIns *Slots = W->insLoad(LOp::LdQ, Recv.Ins, Object::namedSlotsOffset());
     LIns *Word = W->insLoad(LOp::LdQ, Slots, Slot * 8);
-    ExitDescriptor *E = snapshot(ExitKind::Type, Pc);
-    W->insGuard(LOp::GuardT,
-                W->ins2(LOp::EqQ, Word, immQ((int64_t)Method.bits())), E);
-    F->EmbeddedRoots.push_back(Method);
+    guardCallee(Word, /*IsObject=*/false, Method, Pc);
 
     if (FO->native()) {
       if (!recordTraceableNative(FO, ArgC, Pc))

@@ -158,6 +158,10 @@ private:
   /// Guard that object \p Obj (unboxed ptr) has shape \p S.
   void guardShape(LIns *Obj, class Shape *S, uint32_t Pc);
   void guardIsArray(LIns *Obj, uint32_t Pc);
+  /// Guard that the callee \p Word (a boxed value; an object pointer if
+  /// \p IsObject) calls what \p CalleeV calls: the same native, or any
+  /// function object with the same script.
+  void guardCallee(LIns *Word, bool IsObject, Value CalleeV, uint32_t Pc);
   /// Guard that \p Obj's shape is one of \p Shapes[0..N): one shape load,
   /// per-shape EqQ compares OR-ed into a single GuardT. N == 1 degenerates
   /// to guardShape.

@@ -125,6 +125,7 @@ int32_t Object::elemCapacityOffset() {
   return (int32_t)offsetof(Object, ElemCapacity);
 }
 int32_t Object::arrayLenOffset() { return (int32_t)offsetof(Object, ArrayLen); }
+int32_t Object::scriptOffset() { return (int32_t)offsetof(Object, Script); }
 #pragma GCC diagnostic pop
 
 } // namespace tracejit

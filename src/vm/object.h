@@ -120,6 +120,7 @@ public:
   static int32_t elemDataOffset();
   static int32_t elemCapacityOffset();
   static int32_t arrayLenOffset();
+  static int32_t scriptOffset();
 
 private:
   Object(ObjectKind K, Shape *S) : GCCell(CellKind::Object), OKind(K),

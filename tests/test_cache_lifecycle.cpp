@@ -37,8 +37,9 @@ struct CollectingListener final : JitEventListener {
 std::string churnWorkload(int Loops, int Iters) {
   std::string S = "var total = 0;\n";
   for (int L = 0; L < Loops; ++L) {
-    std::string I = "i" + std::to_string(L);
-    std::string A = "a" + std::to_string(L);
+    std::string I = "i", A = "a";
+    I += std::to_string(L);
+    A += std::to_string(L);
     S += "var " + A + " = 0;\n";
     S += "for (var " + I + " = 0; " + I + " < " + std::to_string(Iters) +
          "; ++" + I + ") { " + A + " += " + I + " * " +
@@ -193,6 +194,34 @@ TEST(CacheLifecycle, TinyCacheFlushesAndMatchesInterpreter) {
   auto R2 = E.eval(Src);
   ASSERT_TRUE(R2.ok());
   EXPECT_EQ(R2.LastValue.numberValue(), Want);
+}
+
+TEST(CacheLifecycle, NativeBytecodeCountSurvivesFlushes) {
+  // Fig. 11's native count covers fragments a flush has since retired, so
+  // it never falls from one eval to the next however often the cache
+  // churns.
+  EngineOptions O;
+  O.Tier = TierMode::Trace; // asserts trace-pipeline internals
+  O.EnableJit = true;
+  O.CollectStats = true;
+  O.CodeCacheBytes = 4096;  // one page: a handful of fragments at most
+  O.MaxCacheFlushes = 1000; // keep the kill switch out of this test
+  O.StaticAnalysis = false; // elided guards shrink traces enough to fit
+  Engine E(O);
+  const std::string Srcs[] = {churnWorkload(10, 60), churnWorkload(7, 90)};
+  uint64_t Prev = 0;
+  for (int I = 0; I < 6; ++I) {
+    const std::string &Src = Srcs[I % 2];
+    auto R = E.eval(Src);
+    ASSERT_TRUE(R.ok()) << R.Err.describe();
+    EXPECT_EQ(R.LastValue.numberValue(), interpretedResult(Src));
+    uint64_t Native = E.stats().BytecodesNative;
+    EXPECT_GE(Native, Prev) << "eval " << I;
+    Prev = Native;
+  }
+  VMStats S = E.stats();
+  EXPECT_GE(S.CacheFlushes, 2u);
+  EXPECT_GT(S.BytecodesNative, 0u);
 }
 
 TEST(CacheLifecycle, CommittedBytesMatchFragmentSizes) {

@@ -189,8 +189,9 @@ TEST_P(FuzzDifferential, StaticFactsNeverContradictRuntime) {
     ASSERT_TRUE(R.ok()) << "seed " << Seed << ": " << R.Err.describe();
     EXPECT_EQ(E.stats().StaticFactContradictions, 0u)
         << "seed " << Seed << " jit=" << Jit << "\nprogram:\n" << Src;
-    if (Jit)
+    if (Jit) {
       EXPECT_EQ(E.stats().VerifyFailures, 0u) << "program:\n" << Src;
+    }
   }
   EXPECT_EQ(Outs[0], Outs[1]) << "seed " << Seed << "\nprogram:\n" << Src;
 }

@@ -351,6 +351,29 @@ TEST_F(HoistTest, LoadDoesNotHoistPastUnhoistedShapeGuard) {
   EXPECT_FALSE(inPrologue(Late)) << "must not float above the shape guard";
 }
 
+TEST_F(HoistTest, ImmutableLoadHoistsPastHeapStores) {
+  // A callee guard reads the function object's script, which never
+  // changes: heap stores in the loop must not pin it (or its guard) there.
+  makeLoopFragment();
+  LIns *Tar = W().ins0(LOp::ParamTar);
+  LIns *Fn = W().insLoad(LOp::LdQ, Tar, 16); // the callee: never stored
+  LIns *Script = W().insLoad(LOp::LdQ, Fn, 8);
+  Script->Immutable = true;
+  LIns *G = W().insGuard(
+      LOp::GuardT, W().ins2(LOp::EqQ, Script, W().insImmQ(0x1000)), exit());
+  LIns *Field = W().insLoad(LOp::LdQ, Fn, 24); // mutable heap location
+  LIns *Obj = W().insLoad(LOp::LdQ, Tar, 0);
+  W().insStore(LOp::StQ, Obj, Obj, 32); // a heap store
+  W().insLoop();
+  seal();
+
+  OptResult R = optimizeTrace(F, only(OptPass::Hoist), 0, nullptr);
+  EXPECT_TRUE(inPrologue(Script));
+  EXPECT_TRUE(inPrologue(G));
+  EXPECT_EQ(R.GuardsHoisted, 1u);
+  EXPECT_FALSE(inPrologue(Field)) << "the loop stores to the heap";
+}
+
 TEST_F(HoistTest, LoopConditionGuardDoesNotBlockHoisting) {
   // The i32 loop-condition guard leads every recorder trace; it checks
   // arithmetic, not memory layout, so invariant loads behind it still
@@ -407,8 +430,9 @@ TEST_F(HoistTest, PrologueSurvivesFinalDceAndPrints) {
   ASSERT_LT(F.PrologueEnd, F.Body.size());
   for (uint32_t P = 0; P < F.PrologueEnd; ++P) {
     EXPECT_FALSE(F.Body[P]->isStore());
-    if (F.Body[P]->isGuard())
+    if (F.Body[P]->isGuard()) {
       EXPECT_EQ(F.Body[P]->Exit, Entry);
+    }
   }
   EXPECT_EQ(F.Body.back()->Op, LOp::Loop);
   EXPECT_TRUE(inPrologue(G));
@@ -623,7 +647,8 @@ TEST(OptEndToEnd, EntryDeoptRecoversWhenInvariantBreaks) {
   RunInfo R = runWith(Src, O);
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(R.Out, "1600\n");
-  if (R.Stats.GuardsHoisted > 0)
+  if (R.Stats.GuardsHoisted > 0) {
     EXPECT_GE(R.Stats.EntryDeopts, 1u)
         << "a hoisted shape guard must fail at entry after the shape change";
+  }
 }

@@ -122,11 +122,17 @@ struct TierRun {
   std::string Err;
 };
 
-TierRun runTier(const std::string &Src, TierMode T, bool Jit = true) {
+/// Run \p Src once under tier mode \p T. \p NeedsIC pins EnableIC for tests
+/// that depend on IC megamorphic feedback, so builds whose default has ICs
+/// off (-DTRACEJIT_IC_DEFAULT=0) still see it.
+TierRun runTier(const std::string &Src, TierMode T, bool Jit = true,
+                bool NeedsIC = false) {
   EngineOptions O;
   O.EnableJit = Jit;
   O.Tier = T;
   O.CollectStats = true;
+  if (NeedsIC)
+    O.EnableIC = true;
   Engine E(O);
   TierRun R;
   E.setPrintHook([&](const std::string &S) { R.Out += S; });
@@ -247,6 +253,7 @@ TEST(Tier, MegamorphicLoopPromotesCompilesAndEnters) {
 
   EngineOptions O;
   O.EnableJit = true;
+  O.EnableIC = true; // promotion is driven by IC megamorphic feedback
   O.Tier = TierMode::Hybrid;
   O.CollectStats = true;
   Engine E(O);
@@ -292,7 +299,7 @@ TEST(Tier, MegamorphicLoopPromotesCompilesAndEnters) {
 
 TEST(Tier, BranchOverflowPromotesInHybrid) {
   std::string Src = branchyKernel(50000);
-  TierRun H = runTier(Src, TierMode::Hybrid);
+  TierRun H = runTier(Src, TierMode::Hybrid, /*Jit=*/true, /*NeedsIC=*/true);
   ASSERT_TRUE(H.Ok) << H.Err;
   EXPECT_EQ(H.Out, interpOutput(Src));
   EXPECT_GE(H.Stats.LoopsPromoted, 1u);
@@ -346,8 +353,8 @@ TEST(Tier, TraceModeNeverTouchesTheMethodTier) {
   };
   for (const std::string &Src : Corpus) {
     std::string Want = interpOutput(Src);
-    TierRun A = runTier(Src, TierMode::Trace);
-    TierRun B = runTier(Src, TierMode::Trace);
+    TierRun A = runTier(Src, TierMode::Trace, /*Jit=*/true, /*NeedsIC=*/true);
+    TierRun B = runTier(Src, TierMode::Trace, /*Jit=*/true, /*NeedsIC=*/true);
     ASSERT_TRUE(A.Ok && B.Ok) << A.Err << B.Err;
     EXPECT_EQ(A.Out, Want);
     EXPECT_EQ(B.Out, Want);
@@ -366,7 +373,8 @@ TEST(Tier, TraceModeNeverTouchesTheMethodTier) {
   // branch recordings abort at the megamorphic site and the overflowing
   // exit is blocked (the tree stays, side-exiting most iterations) --
   // exactly the outcome the hybrid tier replaces with promotion.
-  TierRun M = runTier(megamorphicKernel(20000), TierMode::Trace);
+  TierRun M = runTier(megamorphicKernel(20000), TierMode::Trace, /*Jit=*/true,
+                      /*NeedsIC=*/true);
   EXPECT_GE(M.Stats.AbortsByReason[(size_t)AbortReason::MegamorphicSite], 1u);
   EXPECT_GE(M.Stats.SideExits, 1000u);
 }
