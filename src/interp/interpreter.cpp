@@ -236,30 +236,6 @@ bool Interpreter::pushFrameForCall(Object *Callee, uint32_t ArgC) {
   return true;
 }
 
-Value Interpreter::callValue(Value Callee, Value ThisV, const Value *Args,
-                             uint32_t N) {
-  if (!Callee.isObject() || !Callee.toObject()->isFunction()) {
-    rtError("calling a non-function");
-    return Value::undefined();
-  }
-  Object *F = Callee.toObject();
-  if (F->native())
-    return callNative(F, ThisV, Args, N);
-
-  // Re-entrant scripted call: set up [callee args...] and run a nested
-  // dispatch until this frame returns.
-  uint32_t SavedPc = Pc;
-  size_t SavedFrames = Frames.size();
-  Stack[Sp++] = Callee;
-  for (uint32_t I = 0; I < N; ++I)
-    Stack[Sp++] = Args[I];
-  if (!pushFrameForCall(F, N))
-    return Value::undefined();
-  Value R = dispatch(SavedFrames);
-  Pc = SavedPc;
-  return R;
-}
-
 // --- Dispatch -------------------------------------------------------------------
 
 Value Interpreter::run(FunctionScript *Top) {
@@ -287,86 +263,13 @@ Value Interpreter::run(FunctionScript *Top) {
   return R;
 }
 
-// --- Shared op bodies (multi-label cases in the seed switch) --------------------
-
-void Interpreter::execBitop(Op O) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  int32_t X = A.isInt() ? A.toInt() : valueToInt32(A);
-  int32_t Y = B.isInt() ? B.toInt() : valueToInt32(B);
-  int32_t R;
-  switch (O) {
-  case Op::BitAnd:
-    R = X & Y;
-    break;
-  case Op::BitOr:
-    R = X | Y;
-    break;
-  case Op::BitXor:
-    R = X ^ Y;
-    break;
-  case Op::Shl:
-    R = (int32_t)((uint32_t)X << (Y & 31));
-    break;
-  default:
-    R = X >> (Y & 31);
-    break;
-  }
-  Stack[Sp - 1] = Value::makeInt(R);
-  ++Pc;
-}
-
-void Interpreter::execCompare(Op O) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  bool R;
-  if (A.isInt() && B.isInt()) {
-    int32_t X = A.toInt(), Y = B.toInt();
-    R = O == Op::Lt   ? X < Y
-        : O == Op::Le ? X <= Y
-        : O == Op::Gt ? X > Y
-                      : X >= Y;
-  } else {
-    int Cv = compareValues(A, B);
-    if (Cv == 2)
-      R = false;
-    else
-      R = O == Op::Lt   ? Cv < 0
-          : O == Op::Le ? Cv <= 0
-          : O == Op::Gt ? Cv > 0
-                        : Cv >= 0;
-  }
-  Stack[Sp - 1] = Value::makeBoolean(R);
-  ++Pc;
-}
-
-void Interpreter::execEquality(bool Negate) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  bool R = looseEquals(A, B);
-  Stack[Sp - 1] = Value::makeBoolean(Negate ? !R : R);
-  ++Pc;
-}
-
-void Interpreter::execStrictEquality(bool Negate) {
-  Value B = Stack[Sp - 1];
-  Value A = Stack[Sp - 2];
-  --Sp;
-  bool R = strictEquals(A, B);
-  Stack[Sp - 1] = Value::makeBoolean(Negate ? !R : R);
-  ++Pc;
-}
-
 bool Interpreter::popReturnFrame(size_t StopDepth, Value R) {
   Frame Done = Frames.back();
   Frames.pop_back();
   if (Frames.size() == StopDepth) {
     Sp = Done.Base;
     if (Done.Base > 0)
-      --Sp; // drop the callee slot pushed by callValue
+      --Sp; // drop the callee slot of a method-tier nested call
     return true;
   }
   Sp = Done.Base - 1; // drop args, locals, and the callee slot
@@ -547,51 +450,89 @@ Value Interpreter::dispatch(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
   const bool IcOn = C.Opts.EnableIC;
-  Frame *F;
+  // Register-resident copies of the interpreter state; they shadow the
+  // members, which TJ_SYNC_OUT/TJ_SYNC_IN write and reload around every
+  // call that reads or writes them (see dispatch.inc).
+  Value *const Stack = this->Stack.data();
+  uint32_t Pc = this->Pc, Sp = this->Sp;
+  Value *Locals;
   FunctionScript *Script;
+  const void *const *T; // Table, or HookTable while recording or counting
   Op O;
 
-  // One label per opcode, indexed by the opcode byte. A single shared
-  // prologue (error unwind + recording hook) runs before every body; each
-  // body jumps back to TjDispatch.
+  // One label per opcode, indexed by the opcode byte. HookTable sends every
+  // op to TjHook, which records or counts it and then runs it through
+  // Table. TjCheck swaps HookTable in only while recording or counting, so
+  // the plain path pays for neither (§6.3).
   static const void *const Table[] = {
 #define TJ_LABEL(name) &&L_##name,
       TJ_FOR_EACH_OP(TJ_LABEL)
 #undef TJ_LABEL
   };
+  static const void *const HookTable[] = {
+#define TJ_HOOK(name) &&TjHook,
+      TJ_FOR_EACH_OP(TJ_HOOK)
+#undef TJ_HOOK
+  };
+#define TJ_SYNC_OUT() (this->Pc = Pc, this->Sp = Sp)
+#define TJ_SYNC_IN() (Pc = this->Pc, Sp = this->Sp)
+#define TJ_PICK_TABLE()                                                        \
+  T = (Stats || (C.Monitor && C.Monitor->recording())) ? HookTable : Table
+#define TJ_DISPATCH()                                                          \
+  do {                                                                         \
+    O = (Op)Script->Code[Pc];                                                  \
+    if ((uint8_t)O >= (uint8_t)Op::NumOps)                                     \
+      goto L_Corrupt;                                                          \
+    goto *T[(uint8_t)O];                                                       \
+  } while (0)
 
-TjDispatch:
+  // The checked entry: ops that may raise or change frames end here.
+TjCheck:
   if (C.HasError) {
     // Unwind everything this dispatch owns.
+    TJ_SYNC_OUT();
     while (Frames.size() > StopDepth)
       Frames.pop_back();
     return Value::undefined();
   }
-  F = &Frames.back();
-  Script = F->Script;
-  O = (Op)Script->Code[Pc];
+  Script = Frames.back().Script;
+  Locals = Stack + Frames.back().Base;
+  TJ_PICK_TABLE();
+  TJ_DISPATCH();
 
+TjHook:
   if (C.Monitor && C.Monitor->recording() && O != Op::LoopHeader) {
+    TJ_SYNC_OUT();
     C.Monitor->recordOp(*this, Pc);
+    TJ_SYNC_IN();
     if (Stats)
       ++C.Stats.BytecodesRecorded;
   } else if (Stats) {
     ++C.Stats.BytecodesInterpreted;
   }
-
-  if ((uint8_t)O >= (uint8_t)Op::NumOps)
-    goto L_Corrupt;
+  TJ_PICK_TABLE(); // recordOp may have finished or aborted the recording
   goto *Table[(uint8_t)O];
 
 #define TJ_OP(name) L_##name: {
-#define TJ_NEXT() } goto TjDispatch;
+#define TJ_NEXT()                                                              \
+  }                                                                            \
+  TJ_DISPATCH();
+#define TJ_CHECKED()                                                           \
+  }                                                                            \
+  goto TjCheck;
 #include "interp/dispatch.inc"
 #undef TJ_OP
 #undef TJ_NEXT
+#undef TJ_CHECKED
 
 L_Corrupt:
+  TJ_SYNC_OUT();
   rtError("corrupt bytecode");
-  goto TjDispatch;
+  goto TjCheck;
+#undef TJ_SYNC_OUT
+#undef TJ_SYNC_IN
+#undef TJ_PICK_TABLE
+#undef TJ_DISPATCH
 }
 
 } // namespace tracejit

@@ -41,10 +41,6 @@ public:
   /// Run a top-level script to completion. Errors land in Ctx.
   Value run(FunctionScript *Top);
 
-  /// Call a callable value with boxed arguments (used by natives and by the
-  /// trace engine when it needs to run script re-entrantly).
-  Value callValue(Value Callee, Value ThisV, const Value *Args, uint32_t N);
-
   VMContext &context() { return Ctx; }
 
   // --- State access for the trace engine -----------------------------------
@@ -72,6 +68,46 @@ public:
   /// unordered (NaN involved).
   static int compareValues(const Value &A, const Value &B);
 
+  // Pure op semantics on boxed operands, shared by the interpreter's op
+  // bodies and the method tier. Forced inline: the dispatch function is
+  // too large for GCC to inline them on its own.
+  /// BitAnd, BitOr, BitXor, Shl, Shr.
+  [[gnu::always_inline]] static Value bitop(Op O, Value A, Value B) {
+    int32_t X = A.isInt() ? A.toInt() : valueToInt32(A);
+    int32_t Y = B.isInt() ? B.toInt() : valueToInt32(B);
+    switch (O) {
+    case Op::BitAnd:
+      return Value::makeInt(X & Y);
+    case Op::BitOr:
+      return Value::makeInt(X | Y);
+    case Op::BitXor:
+      return Value::makeInt(X ^ Y);
+    case Op::Shl:
+      return Value::makeInt((int32_t)((uint32_t)X << (Y & 31)));
+    default:
+      return Value::makeInt(X >> (Y & 31));
+    }
+  }
+  /// Lt, Le, Gt, Ge.
+  [[gnu::always_inline]] static Value compare(Op O, Value A, Value B) {
+    int Cv = A.isInt() && B.isInt()
+                 ? (A.toInt() > B.toInt()) - (A.toInt() < B.toInt())
+                 : compareValues(A, B);
+    if (Cv == 2)
+      return Value::makeBoolean(false);
+    return Value::makeBoolean(O == Op::Lt   ? Cv < 0
+                              : O == Op::Le ? Cv <= 0
+                              : O == Op::Gt ? Cv > 0
+                                            : Cv >= 0);
+  }
+  /// Eq, Ne, StrictEq, StrictNe.
+  [[gnu::always_inline]] static Value equality(Op O, Value A, Value B) {
+    bool R = A.isInt() && B.isInt()       ? A.toInt() == B.toInt()
+             : O == Op::Eq || O == Op::Ne ? looseEquals(A, B)
+                                          : strictEquals(A, B);
+    return Value::makeBoolean(O == Op::Ne || O == Op::StrictNe ? !R : R);
+  }
+
   Value concatValues(const Value &A, const Value &B);
 
 private:
@@ -81,15 +117,11 @@ private:
 
   /// The dispatch loop: a computed-goto label table over the op bodies in
   /// interp/dispatch.inc. Runs until the frame stack shrinks back to
-  /// \p StopDepth or an error is raised.
+  /// \p StopDepth or an error is raised. It keeps Pc and Sp in locals and
+  /// writes them back to the members only around calls that read or write
+  /// them, so code outside the loop sees current values only there.
   Value dispatch(size_t StopDepth);
 
-  // Op bodies the seed interpreter shared between several case labels,
-  // factored out so each opcode keeps its own dispatch label (dispatch.inc).
-  void execBitop(Op O);
-  void execCompare(Op O);
-  void execEquality(bool Negate);
-  void execStrictEquality(bool Negate);
   /// Pop the returning frame; true means dispatch should return \p R.
   bool popReturnFrame(size_t StopDepth, Value R);
 
@@ -120,7 +152,7 @@ private:
   void rtError(ErrorKind Kind, const char *Msg);
 
   VMContext &Ctx;
-  std::vector<Value> Stack;
+  std::vector<Value> Stack; ///< StackSlots long from construction; never moves.
   std::vector<Frame> Frames;
   uint32_t Sp = 0; ///< Next free value-stack slot.
   uint32_t Pc = 0; ///< Current pc within Frames.back().

@@ -111,7 +111,7 @@ int32_t tj_TruthyD(double D) { return D != 0 && !std::isnan(D); }
 // positions come from Frames.back().Script->lineAt(Pc)), run the
 // interpreter semantics, and return MethodErrorSentinel when an error is
 // pending -- the method code guards the sentinel and deopts at this pc,
-// where the dispatch harness unwinds without re-executing the op.
+// where the dispatch loop unwinds without re-executing the op.
 
 struct MethodOps {
   static String *atom(Interpreter &I, uint32_t Idx) {
@@ -176,30 +176,9 @@ struct MethodOps {
     case Op::BitOr:
     case Op::BitXor:
     case Op::Shl:
-    case Op::Shr: {
-      int32_t X = A.isInt() ? A.toInt() : Interpreter::valueToInt32(A);
-      int32_t Y = B.isInt() ? B.toInt() : Interpreter::valueToInt32(B);
-      int32_t V;
-      switch (O) {
-      case Op::BitAnd:
-        V = X & Y;
-        break;
-      case Op::BitOr:
-        V = X | Y;
-        break;
-      case Op::BitXor:
-        V = X ^ Y;
-        break;
-      case Op::Shl:
-        V = (int32_t)((uint32_t)X << (Y & 31));
-        break;
-      default:
-        V = X >> (Y & 31);
-        break;
-      }
-      R = Value::makeInt(V);
+    case Op::Shr:
+      R = Interpreter::bitop(O, A, B);
       break;
-    }
     case Op::Ushr: {
       uint32_t X = (uint32_t)(A.isInt() ? A.toInt()
                                         : Interpreter::valueToInt32(A));
@@ -212,38 +191,14 @@ struct MethodOps {
     case Op::Lt:
     case Op::Le:
     case Op::Gt:
-    case Op::Ge: {
-      bool V;
-      if (A.isInt() && B.isInt()) {
-        int32_t X = A.toInt(), Y = B.toInt();
-        V = O == Op::Lt   ? X < Y
-            : O == Op::Le ? X <= Y
-            : O == Op::Gt ? X > Y
-                          : X >= Y;
-      } else {
-        int Cv = Interpreter::compareValues(A, B);
-        if (Cv == 2)
-          V = false;
-        else
-          V = O == Op::Lt   ? Cv < 0
-              : O == Op::Le ? Cv <= 0
-              : O == Op::Gt ? Cv > 0
-                            : Cv >= 0;
-      }
-      R = Value::makeBoolean(V);
+    case Op::Ge:
+      R = Interpreter::compare(O, A, B);
       break;
-    }
     case Op::Eq:
-      R = Value::makeBoolean(Interpreter::looseEquals(A, B));
-      break;
     case Op::Ne:
-      R = Value::makeBoolean(!Interpreter::looseEquals(A, B));
-      break;
     case Op::StrictEq:
-      R = Value::makeBoolean(Interpreter::strictEquals(A, B));
-      break;
     case Op::StrictNe:
-      R = Value::makeBoolean(!Interpreter::strictEquals(A, B));
+      R = Interpreter::equality(O, A, B);
       break;
     default:
       I.rtError("unsupported method-tier binop");
@@ -368,6 +323,15 @@ struct MethodOps {
     return R.bits();
   }
 
+  /// Run a callee frame pushed by pushFrameForCall until it returns. The
+  /// method code that called it is charged to Native; the callee's
+  /// bytecodes are interpreted, so they are charged to Interpret.
+  static Value runCallee(Interpreter &I, size_t StopDepth) {
+    ActivityScope Scope(I.Ctx.Stats, Activity::Interpret,
+                        I.Ctx.Opts.CollectStats);
+    return I.dispatch(StopDepth);
+  }
+
   static uint64_t call(Interpreter &I, uint32_t Pc, uint32_t ArgC,
                        uint64_t *Tar, uint32_t Sp) {
     I.Pc = Pc;
@@ -385,7 +349,7 @@ struct MethodOps {
       size_t SavedFrames = I.Frames.size();
       if (!I.pushFrameForCall(FnObj, ArgC))
         return MethodErrorSentinel;
-      R = I.dispatch(SavedFrames);
+      R = runCallee(I, SavedFrames);
       I.Pc = Pc;
     }
     return finishNestedCall(I, Tar, R);
@@ -410,7 +374,7 @@ struct MethodOps {
           size_t SavedFrames = I.Frames.size();
           if (!I.pushFrameForCall(FnObj, ArgC))
             return MethodErrorSentinel;
-          R = I.dispatch(SavedFrames);
+          R = runCallee(I, SavedFrames);
           I.Pc = Pc;
         }
         Done = true;

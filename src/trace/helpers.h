@@ -51,8 +51,9 @@ int32_t tj_TruthyD(double D);
 // the interpreter pc first (so error positions are exact), and returns
 // ~0ULL -- unproducible as a real Value -- when VMContext::HasError is set.
 // Method code guards the sentinel and deopts at the faulting pc; the
-// dispatch harness checks HasError before executing any op, so the op is
-// never re-run.
+// LoopHeader op that entered the method code then ends at the dispatch
+// loop's checked entry, which unwinds on HasError, so the op is never
+// re-run.
 uint64_t tj_MethodBinop(Interpreter *I, uint32_t Pc, int32_t Op, uint64_t A,
                         uint64_t B);
 uint64_t tj_MethodUnop(Interpreter *I, uint32_t Pc, int32_t Op, uint64_t V);

@@ -349,3 +349,123 @@ TEST(Interp, DeepRecursionOverflowsGracefully) {
   // The overflow carries a source position (the recursive call site).
   EXPECT_GT(R.Err.Line, 0u);
 }
+
+// The dispatch loop keeps Pc and Sp in locals and writes them back to the
+// interpreter only around calls that read them. A raising op that skipped
+// that write would report the position of an earlier op; each program here
+// raises from a different op, on a late iteration of a loop that the JIT
+// (when on) has compiled by then.
+TEST(Interp, RuntimeErrorPositionOfEachRaisingOp) {
+  struct Case {
+    const char *Src;
+    ErrorKind Kind;
+    uint32_t Line, Col;
+    const char *Msg;
+  };
+  const Case Cases[] = {
+      {"var o = {a: 1};\nvar s = 0;\nfor (var i = 0; i < 300; ++i) {\n"
+       "  if (i == 250) o = 7;\n  s = s + o.a;\n}\n",
+       ErrorKind::Runtime, 5, 13, "cannot read property of non-object"},
+      {"var o = {a: 1};\nfor (var i = 0; i < 300; ++i) {\n"
+       "  if (i == 250) o = 7;\n  o.a = i;\n}\n",
+       ErrorKind::Runtime, 4, 9, "property store on a non-object"},
+      {"var a = [1, 2, 3];\nvar s = 0;\nfor (var i = 0; i < 300; ++i) {\n"
+       "  if (i == 250) a = 7;\n  s = s + a[i % 3];\n}\n",
+       ErrorKind::Runtime, 5, 18, "indexing a non-object"},
+      {"var a = [1, 2, 3];\nfor (var i = 0; i < 300; ++i) {\n"
+       "  if (i == 250) a = {};\n  a[i % 3] = i;\n}\n",
+       ErrorKind::Runtime, 4, 14, "element store on a non-array"},
+      {"function f(x) { return x + 1; }\nvar s = 0;\n"
+       "for (var i = 0; i < 300; ++i) {\n  if (i == 250) f = 3;\n"
+       "  s = s + f(i);\n}\n",
+       ErrorKind::Runtime, 5, 14, "calling a non-function"},
+      {"function m(x) { return x; }\nvar o = {};\no.m = m;\nvar s = 0;\n"
+       "for (var i = 0; i < 300; ++i) {\n  if (i == 250) o = 5;\n"
+       "  s = s + o.m(i);\n}\n",
+       ErrorKind::Runtime, 7, 16, "method call on unsupported receiver"},
+      {"function f(n) {\n  return n == 0 ? 0 : 1 + f(n - 1);\n}\nvar s = 0;\n"
+       "for (var i = 0; i < 300; ++i) s = s + f(i < 250 ? 10 : 100000);\n",
+       ErrorKind::StackOverflow, 2, 34, "too much recursion"},
+  };
+  for (const Case &K : Cases) {
+    for (bool Jit : {false, true}) {
+      EngineOptions Opts;
+      Opts.EnableJit = Jit;
+      Engine E(Opts);
+      auto R = E.eval(K.Src);
+      ASSERT_FALSE(R.ok()) << K.Src;
+      EXPECT_EQ(R.Err.Kind, K.Kind) << "jit=" << Jit << "\n" << K.Src;
+      EXPECT_EQ(R.Err.Line, K.Line) << "jit=" << Jit << "\n" << K.Src;
+      EXPECT_EQ(R.Err.Col, K.Col) << "jit=" << Jit << "\n" << K.Src;
+      EXPECT_NE(R.Err.Message.find(K.Msg), std::string::npos)
+          << R.Err.Message;
+      // The engine stays usable after the error.
+      EXPECT_TRUE(E.eval("var after = 1;").ok());
+    }
+  }
+}
+
+// gc() collects while fresh strings sit only on the operand stack: as array
+// literal elements, call arguments and native arguments. The GC root scan
+// reads the interpreter's Sp, so the native call must see the current one.
+TEST(Interp, GcKeepsLiveOperandsOnTheStack) {
+  const char *Progs[][2] = {
+      {"var s = \"ab\";\nvar bad = 0;\nfor (var i = 0; i < 50; ++i) {\n"
+       "  var a = [s + \"a\", gc(), s + i];\n"
+       "  if (a[0] != \"aba\" || a[2] != \"ab\" + i) bad = bad + 1;\n}\n"
+       "print(bad, a[0], a[2]);\n",
+       "0 aba ab49\n"},
+      {"function f(a, b) { return a; }\nvar s = \"ab\";\nvar r = \"\";\n"
+       "for (var i = 0; i < 50; ++i) r = f(s + \"x\", gc()) + f(s + i, gc());\n"
+       "print(r);\n",
+       "abxab49\n"},
+      {"var s = \"ab\";\n"
+       "for (var i = 0; i < 3; ++i) print(s + \"1\", gc(), s + i);\n",
+       "ab1 undefined ab0\nab1 undefined ab1\nab1 undefined ab2\n"},
+  };
+  for (const auto &P : Progs) {
+    for (bool Jit : {false, true}) {
+      EngineOptions Opts;
+      Opts.EnableJit = Jit;
+      Engine E(Opts);
+      std::string Out;
+      E.setPrintHook([&](const std::string &S) { Out += S; });
+      auto R = E.eval(P[0]);
+      ASSERT_TRUE(R.ok()) << R.Err.describe() << "\n" << P[0];
+      EXPECT_EQ(Out, P[1]) << "jit=" << Jit << "\n" << P[0];
+      EXPECT_GT(E.stats().GCs, 0u);
+    }
+  }
+}
+
+// Each executed op is counted exactly once, as interpreted or recorded,
+// whichever dispatch table runs it. The loop below executes
+//   9 ops of set-up (three pushconst/setglobal/pop),
+//   1000 iterations x 23 ops (loopheader, the 4-op test, jump, the 11-op
+//     body, the 6-op update), and
+//   6 ops at exit (loopheader, the 4-op test, returnundef),
+// 23015 in all. With the JIT on, every recording aborts at the mixed
+// string/number `+`, so no op runs natively and each is interpreted or
+// recorded.
+TEST(Interp, BytecodeCountsAreExact) {
+  const char *Src = "var s = 0;\nvar t = \"\";\n"
+                    "for (var i = 0; i < 1000; ++i) {\n"
+                    "  s = s + i;\n  t = \"x\" + i;\n}\n";
+  for (bool Jit : {false, true}) {
+    EngineOptions Opts;
+    Opts.EnableJit = Jit;
+    Opts.CollectStats = true;
+    Opts.Tier = TierMode::Trace; // hybrid would promote the aborting loop
+    Engine E(Opts);
+    ASSERT_TRUE(E.eval(Src).ok());
+    VMStats S = E.stats();
+    EXPECT_EQ(S.BytecodesInterpreted + S.BytecodesRecorded, 23015u)
+        << "jit=" << Jit;
+    EXPECT_EQ(S.BytecodesNative, 0u);
+    if (Jit) {
+      EXPECT_GT(S.BytecodesRecorded, 0u) << "no recording was in flight";
+    } else {
+      EXPECT_EQ(S.BytecodesRecorded, 0u);
+    }
+  }
+}
